@@ -25,6 +25,8 @@
 // Scale knobs: MCM_BULK_SIZES (default "100000,1000000,5000000"),
 //              MCM_QUERIES (default 50), MCM_INGEST_BUDGET (default 64 MiB
 //              here; the library default is 256 MiB).
+// Index files (mcm_bulk_scale_<case>.bin) are written to MCM_OBS_DIR when
+// observability is on, else to the working directory.
 
 #include <sys/resource.h>
 #include <unistd.h>
@@ -343,6 +345,10 @@ int main() {
             << ") queries per index) ==\n\n";
 
   BenchObserver observer("bulk_scale");
+  // Index files go beside the artifacts when observability is on: each
+  // ctest case has its own MCM_OBS_DIR, so concurrent runs never share one.
+  const std::string index_dir =
+      observer.enabled() ? GetEnvString("MCM_OBS_DIR", ".") : ".";
   const auto queries = GenerateVectorQueries(VectorDatasetKind::kClustered,
                                              num_queries, kDim, kSeed + 999);
   Stopwatch total;
@@ -374,7 +380,7 @@ int main() {
     };
     for (const Config& config : configs) {
       const std::string label = config.name + "_" + std::to_string(n);
-      const std::string path = "./mcm_bulk_scale_" + label + ".bin";
+      const std::string path = index_dir + "/mcm_bulk_scale_" + label + ".bin";
       BuildResult built =
           config.naive
               ? BuildNaive(n, path)

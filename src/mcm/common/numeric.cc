@@ -6,6 +6,18 @@
 
 namespace mcm {
 
+namespace {
+
+/// ln Γ(x). std::lgamma stores the sign of Γ(x) in the global `signgam`,
+/// a data race when cost models are evaluated on several threads at once;
+/// the reentrant lgamma_r computes the same value without that write.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 double LogBinomial(uint64_t n, uint64_t k) {
   if (k > n) {
     throw std::invalid_argument("LogBinomial: k > n");
@@ -13,9 +25,9 @@ double LogBinomial(uint64_t n, uint64_t k) {
   if (k == 0 || k == n) {
     return 0.0;
   }
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return LogGamma(static_cast<double>(n) + 1.0) -
+         LogGamma(static_cast<double>(k) + 1.0) -
+         LogGamma(static_cast<double>(n - k) + 1.0);
 }
 
 double BinomialLowerTail(uint64_t n, uint64_t k, double p) {

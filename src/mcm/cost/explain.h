@@ -189,8 +189,9 @@ ExplainReport ExplainRange(const Tree& tree,
                           options.nn_grid_refinement);
   LevelBasedCostModel lmcm(histogram, nmcm.stats(),
                            options.nn_grid_refinement);
+  const PredictedCost range_cost = nmcm.RangeCosts(radius);
   report.predictions.push_back(
-      {"nmcm", nmcm.RangeNodes(radius), nmcm.RangeDistances(radius),
+      {"nmcm", range_cost.nodes, range_cost.distances,
        nmcm.RangeNodesPerLevel(radius), nmcm.RangeDistancesPerLevel(radius)});
   report.predictions.push_back(
       {"lmcm", lmcm.RangeNodes(radius), lmcm.RangeDistances(radius),
@@ -229,7 +230,8 @@ ExplainReport ExplainKnn(const Tree& tree, const DistanceHistogram& histogram,
                           options.nn_grid_refinement);
   LevelBasedCostModel lmcm(histogram, nmcm.stats(),
                            options.nn_grid_refinement);
-  report.predictions.push_back({"nmcm", nmcm.NnNodes(k), nmcm.NnDistances(k),
+  const PredictedCost nn_cost = nmcm.NnCosts(k);
+  report.predictions.push_back({"nmcm", nn_cost.nodes, nn_cost.distances,
                                 nmcm.NnNodesPerLevel(k),
                                 nmcm.NnDistancesPerLevel(k)});
   report.predictions.push_back({"lmcm", lmcm.NnNodes(k), lmcm.NnDistances(k),

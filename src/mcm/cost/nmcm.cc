@@ -9,12 +9,18 @@ NodeBasedCostModel::NodeBasedCostModel(const DistanceHistogram& histogram,
       stats_(std::move(stats)),
       nn_model_(histogram_, stats_.num_objects, nn_grid_refinement) {}
 
-double NodeBasedCostModel::RangeNodes(double query_radius) const {
-  double total = 0.0;
+PredictedCost NodeBasedCostModel::RangeCosts(double query_radius) const {
+  PredictedCost total;
   for (const auto& node : stats_.nodes) {
-    total += histogram_.Cdf(node.covering_radius + query_radius);
+    const double p = histogram_.Cdf(node.covering_radius + query_radius);
+    total.nodes += p;
+    total.distances += static_cast<double>(node.num_entries) * p;
   }
   return total;
+}
+
+double NodeBasedCostModel::RangeNodes(double query_radius) const {
+  return RangeCosts(query_radius).nodes;
 }
 
 std::vector<double> NodeBasedCostModel::RangeNodesPerLevel(
@@ -31,12 +37,7 @@ std::vector<double> NodeBasedCostModel::RangeNodesPerLevel(
 }
 
 double NodeBasedCostModel::RangeDistances(double query_radius) const {
-  double total = 0.0;
-  for (const auto& node : stats_.nodes) {
-    total += static_cast<double>(node.num_entries) *
-             histogram_.Cdf(node.covering_radius + query_radius);
-  }
-  return total;
+  return RangeCosts(query_radius).distances;
 }
 
 std::vector<double> NodeBasedCostModel::RangeDistancesPerLevel(
@@ -112,14 +113,22 @@ double NodeBasedCostModel::ComplexRangeObjects(
          CombineProbability(probs, conjunctive);
 }
 
+PredictedCost NodeBasedCostModel::NnCosts(size_t k) const {
+  PredictedCost total;
+  nn_model_.ForEachNnMass(k, [&](double r, double mass) {
+    const PredictedCost at = RangeCosts(r);
+    total.nodes += at.nodes * mass;
+    total.distances += at.distances * mass;
+  });
+  return total;
+}
+
 double NodeBasedCostModel::NnNodes(size_t k) const {
-  return nn_model_.IntegrateAgainstNnDensity(
-      [this](double r) { return RangeNodes(r); }, k);
+  return NnCosts(k).nodes;
 }
 
 double NodeBasedCostModel::NnDistances(size_t k) const {
-  return nn_model_.IntegrateAgainstNnDensity(
-      [this](double r) { return RangeDistances(r); }, k);
+  return NnCosts(k).distances;
 }
 
 std::vector<double> NodeBasedCostModel::NnNodesPerLevel(size_t k) const {

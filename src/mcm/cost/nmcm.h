@@ -16,6 +16,12 @@
 
 namespace mcm {
 
+/// A predicted query cost in the paper's two units.
+struct PredictedCost {
+  double nodes = 0.0;      ///< Node reads (I/O).
+  double distances = 0.0;  ///< Distance computations (CPU).
+};
+
 class NodeBasedCostModel {
  public:
   /// Both arguments are copied into the model. `stats` must carry the
@@ -23,6 +29,10 @@ class NodeBasedCostModel {
   /// MTree::CollectStats(d_plus).
   NodeBasedCostModel(const DistanceHistogram& histogram, MTreeStatsView stats,
                      size_t nn_grid_refinement = 8);
+
+  /// Eqs. 6 and 7 in one pass over the nodes, one F evaluation per node.
+  /// Both terms are bit-identical to RangeNodes() / RangeDistances().
+  PredictedCost RangeCosts(double query_radius) const;
 
   /// Eq. 6: nodes(range(Q, r_Q)) = Σ_i F(r(N_i) + r_Q).
   double RangeNodes(double query_radius) const;
@@ -61,6 +71,12 @@ class NodeBasedCostModel {
   /// n·Π F(r_j) (AND) or n·(1 − Π(1 − F(r_j))) (OR).
   double ComplexRangeObjects(const std::vector<double>& radii,
                              bool conjunctive) const;
+
+  /// Both k-NN cost terms from one integration pass (one RangeCosts() per
+  /// grid cell). Bit-identical to NnNodes() / NnDistances(). Under
+  /// Assumption 1 the result depends only on F̂ⁿ, the node statistics, n
+  /// and k — not on the query — so callers may memoize it per k.
+  PredictedCost NnCosts(size_t k) const;
 
   /// Expected node reads of NN(Q, k): ∫ nodes(range(Q,r)) p_{Q,k}(r) dr.
   double NnNodes(size_t k) const;

@@ -59,16 +59,21 @@ double NnDistanceModel::RadiusForExpectedObjects(double count) const {
 double NnDistanceModel::IntegrateAgainstNnDensity(
     const std::function<double(double)>& g, size_t k) const {
   double total = 0.0;
+  ForEachNnMass(k, [&](double r, double mass) { total += g(r) * mass; });
+  return total;
+}
+
+void NnDistanceModel::ForEachNnMass(
+    size_t k, const std::function<void(double, double)>& visit) const {
   double p_lo = ProbNnWithin(grid_.front(), k);
   for (size_t i = 0; i + 1 < grid_.size(); ++i) {
     const double p_hi = ProbNnWithin(grid_[i + 1], k);
     const double mass = p_hi - p_lo;
     if (mass > 0.0) {
-      total += g(0.5 * (grid_[i] + grid_[i + 1])) * mass;
+      visit(0.5 * (grid_[i] + grid_[i + 1]), mass);
     }
     p_lo = p_hi;
   }
-  return total;
 }
 
 }  // namespace mcm

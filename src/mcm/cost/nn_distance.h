@@ -43,6 +43,12 @@ class NnDistanceModel {
   double IntegrateAgainstNnDensity(const std::function<double(double)>& g,
                                    size_t k) const;
 
+  /// The quadrature behind IntegrateAgainstNnDensity: calls
+  /// visit(mid, ΔP) for every grid cell with positive P_{Q,k} mass, in
+  /// increasing r. Lets a caller integrate several cost terms in one pass.
+  void ForEachNnMass(size_t k,
+                     const std::function<void(double, double)>& visit) const;
+
   size_t n() const { return n_; }
   const DistanceHistogram& histogram() const { return histogram_; }
   const std::vector<double>& grid() const { return grid_; }

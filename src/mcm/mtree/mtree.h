@@ -91,9 +91,10 @@ class MTree {
     if (split.has_value()) {
       // A root split deepens the tree: every stored ancestor distance is
       // indexed by absolute depth, so the cascade is invalidated wholesale
-      // (re-install it with InstallWitnessCascade). Non-root splits keep
-      // the cascade: moved entries retain their above-parent ancestors and
-      // freshly promoted entries carry empty (safe) arrays.
+      // (re-install it with InstallWitnessCascade). Non-root leaf splits
+      // keep the cascade: moved entries retain their above-parent
+      // ancestors and freshly promoted entries carry empty (safe) arrays.
+      // Internal splits clear it in SplitNode.
       cascade_installed_ = false;
       Node new_root;
       new_root.is_leaf = false;
@@ -259,8 +260,8 @@ class MTree {
   /// every entry, its exact metric distances to the routing objects
   /// strictly above its parent (indexed by 0-based depth). These are the
   /// stored side of the engine's witness bounds; search consults them only
-  /// while cascade_installed() holds (root splits and root collapses clear
-  /// the flag — re-run this pass to restore it).
+  /// while cascade_installed() holds (root splits, internal-node splits and
+  /// root collapses clear the flag — re-run this pass to restore it).
   ///
   /// Build-time metric evaluations are intentionally uncounted, like those
   /// of Insert/BulkLoad. A node whose serialized form would overflow the
@@ -730,6 +731,14 @@ class MTree {
   /// Splits `node` (which overflowed); the first half stays at `node_id`,
   /// the second goes to a fresh node. Returns the two parent entries.
   SplitInfo SplitNode(NodeId node_id, Node node) {
+    if (!node.is_leaf) {
+      // The moved routing entries now hang under newly promoted routing
+      // objects, but every entry in their subtrees still stores its
+      // distance to the old routing object at this depth, so witness
+      // bounds could prune subtrees holding answers. A leaf has no
+      // subtree, so leaf splits keep the cascade.
+      cascade_installed_ = false;
+    }
     std::vector<const Object*> objects;
     std::vector<double> radii;
     const size_t count = node.NumEntries();

@@ -12,6 +12,9 @@
 //    so a k-NN scatter establishes a tight k-th distance early and sends
 //    only range(Q, r_k) — the witness-style bound propagation — to every
 //    later shard;
+//  - prices k-NN plans from a per-k memo: a shard's N-MCM k-NN cost does
+//    not depend on the query (Assumption 1), so only the pivot distances
+//    and annulus bounds are computed per query;
 //  - merges through the engine collectors (distance-then-oid order), so
 //    the answer list is bit-identical to the unsharded index at any
 //    shard count; with one shard the query passes straight through and
@@ -31,12 +34,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "mcm/common/env.h"
+#include "mcm/common/mutex.h"
 #include "mcm/common/query_stats.h"
+#include "mcm/common/thread_annotations.h"
+#include "mcm/cost/nmcm.h"
 #include "mcm/engine/search_core.h"
 #include "mcm/obs/metrics.h"
 #include "mcm/shard/admission.h"
@@ -86,8 +94,10 @@ struct RoutePlan {
   size_t skipped = 0;
 };
 
-/// Scatter-gather search over a ShardedMTree. Immutable and concurrently
-/// callable; satisfies engine::MetricIndex.
+/// Scatter-gather search over a ShardedMTree. Concurrently callable;
+/// satisfies engine::MetricIndex. Its only mutable state is the admission
+/// controller and the per-k memo of k-NN shard costs, which changes no
+/// plan.
 template <typename Traits>
 class ShardRouter {
  public:
@@ -138,8 +148,9 @@ class ShardRouter {
       if (!d.dispatched) continue;  // Empty shard.
       const ShardSidecar<Traits>& sidecar = index_.sidecar(d.shard);
       if (sidecar.model.has_value()) {
-        d.predicted_nodes = sidecar.model->RangeNodes(radius);
-        d.predicted_dists = sidecar.model->RangeDistances(radius);
+        const PredictedCost cost = sidecar.model->RangeCosts(radius);
+        d.predicted_nodes = cost.nodes;
+        d.predicted_dists = cost.distances;
       }
       if (options_.cost_routing && d.lower_bound > radius) {
         d.dispatched = false;
@@ -153,18 +164,17 @@ class ShardRouter {
   /// The routing plan for NN(Q, k). No shard can be skipped up front
   /// (the k-th distance is unknown), but the cheapest-first order decides
   /// how fast the bound tightens; the execution-time annulus check
-  /// against the running bound does the skipping.
+  /// against the running bound does the skipping. The per-shard costs
+  /// come from the per-k memo (KnnCosts), so only the pivot distances
+  /// are computed per query.
   RoutePlan PlanKnn(const Object& query, size_t k,
                     QueryStats* stats = nullptr) const {
     RoutePlan plan = MakeDecisions(query, stats);
+    const std::shared_ptr<const ShardCosts> costs = KnnCosts(k);
     for (ShardDecision& d : plan.decisions) {
-      if (!d.dispatched) continue;
-      const ShardSidecar<Traits>& sidecar = index_.sidecar(d.shard);
-      const size_t shard_k = std::min(k, index_.tree(d.shard).size());
-      if (sidecar.model.has_value() && shard_k > 0) {
-        d.predicted_nodes = sidecar.model->NnNodes(shard_k);
-        d.predicted_dists = sidecar.model->NnDistances(shard_k);
-      }
+      if (!d.dispatched) continue;  // Empty shard.
+      d.predicted_nodes = (*costs)[d.shard].nodes;
+      d.predicted_dists = (*costs)[d.shard].distances;
     }
     FinishPlan(&plan);
     return plan;
@@ -194,6 +204,38 @@ class ShardRouter {
   }
 
  private:
+  /// Predicted cost per shard, indexed by shard id.
+  using ShardCosts = std::vector<PredictedCost>;
+
+  /// Distinct k values whose ShardCosts the router keeps. A workload uses
+  /// a handful; past the bound a new k is priced on every query, uncached.
+  static constexpr size_t kMaxCachedK = 64;
+
+  /// Each shard's N-MCM cost of NN(Q, k), with k clamped to the shard
+  /// size (zero for an empty or model-less shard). Under Assumption 1 it
+  /// does not depend on Q, so it is computed on the first query with this
+  /// k — outside the lock, no model code runs under it — and the first
+  /// writer's entry is kept and shared.
+  std::shared_ptr<const ShardCosts> KnnCosts(size_t k) const
+      MCM_EXCLUDES(knn_costs_mu_) {
+    {
+      MutexLock lock(&knn_costs_mu_);
+      const auto it = knn_costs_.find(k);
+      if (it != knn_costs_.end()) return it->second;
+    }
+    auto costs = std::make_shared<ShardCosts>(index_.num_shards());
+    for (size_t s = 0; s < costs->size(); ++s) {
+      const ShardSidecar<Traits>& sidecar = index_.sidecar(s);
+      const size_t shard_k = std::min(k, index_.tree(s).size());
+      if (sidecar.model.has_value() && shard_k > 0) {
+        (*costs)[s] = sidecar.model->NnCosts(shard_k);
+      }
+    }
+    MutexLock lock(&knn_costs_mu_);
+    if (knn_costs_.size() >= kMaxCachedK) return costs;
+    return knn_costs_.emplace(k, std::move(costs)).first->second;
+  }
+
   /// Shared first phase of both plans: per-shard pivot distance (charged
   /// to `stats`) and the annulus lower bound. Empty shards come back
   /// undispatched; with cost routing off no pivot distance is spent and
@@ -412,6 +454,9 @@ class ShardRouter {
   Counter& dispatched_counter_;
   Counter& skipped_counter_;
   Counter& nodes_counter_;
+  mutable Mutex knn_costs_mu_;
+  mutable std::map<size_t, std::shared_ptr<const ShardCosts>> knn_costs_
+      MCM_GUARDED_BY(knn_costs_mu_);
 };
 
 }  // namespace shard

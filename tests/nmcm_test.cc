@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "mcm/bench_util/experiment.h"
 #include "mcm/cost/nmcm.h"
 #include "mcm/dataset/vector_datasets.h"
@@ -131,6 +134,73 @@ TEST(NodeBasedCostModel, NnCostsForGeneralKMatchMeasurement) {
                 0.25 * measured.avg_kth_distance + 0.02)
         << "k=" << k;
   }
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// Eqs. 6 and 7 written out, one F evaluation per term.
+PredictedCost ReferenceRangeCosts(const Fixture& f, double radius) {
+  PredictedCost total;
+  for (const auto& node : f.stats.nodes) {
+    total.nodes += f.histogram.Cdf(node.covering_radius + radius);
+  }
+  for (const auto& node : f.stats.nodes) {
+    total.distances += static_cast<double>(node.num_entries) *
+                       f.histogram.Cdf(node.covering_radius + radius);
+  }
+  return total;
+}
+
+/// The k-NN integrals written out: Σ cost(mid) · ΔP over the model grid.
+PredictedCost ReferenceNnCosts(const Fixture& f,
+                               const NodeBasedCostModel& model, size_t k) {
+  const NnDistanceModel& nn = model.nn_model();
+  const std::vector<double>& grid = nn.grid();
+  PredictedCost total;
+  double p_lo = nn.ProbNnWithin(grid.front(), k);
+  for (size_t i = 0; i + 1 < grid.size(); ++i) {
+    const double p_hi = nn.ProbNnWithin(grid[i + 1], k);
+    const double mass = p_hi - p_lo;
+    if (mass > 0.0) {
+      const PredictedCost at =
+          ReferenceRangeCosts(f, 0.5 * (grid[i] + grid[i + 1]));
+      total.nodes += at.nodes * mass;
+      total.distances += at.distances * mass;
+    }
+    p_lo = p_hi;
+  }
+  return total;
+}
+
+TEST(NodeBasedCostModel, FusedRangeCostsAreBitIdentical) {
+  auto f = Fixture::Make(2000, 6, 103);
+  const NodeBasedCostModel model(f.histogram, f.stats);
+  for (const double r : {0.0, 0.013, 0.05, 0.2, 0.5, 0.999, 1.0, 1.5}) {
+    const PredictedCost fused = model.RangeCosts(r);
+    const PredictedCost reference = ReferenceRangeCosts(f, r);
+    EXPECT_EQ(Bits(fused.nodes), Bits(model.RangeNodes(r))) << "r=" << r;
+    EXPECT_EQ(Bits(fused.distances), Bits(model.RangeDistances(r)))
+        << "r=" << r;
+    EXPECT_EQ(Bits(fused.nodes), Bits(reference.nodes)) << "r=" << r;
+    EXPECT_EQ(Bits(fused.distances), Bits(reference.distances)) << "r=" << r;
+  }
+}
+
+TEST(NodeBasedCostModel, FusedNnCostsAreBitIdentical) {
+  auto f = Fixture::Make(2000, 6, 103);
+  const NodeBasedCostModel model(f.histogram, f.stats);
+  for (const size_t k : {size_t{1}, size_t{10}, size_t{100}, size_t{2001}}) {
+    const PredictedCost fused = model.NnCosts(k);
+    const PredictedCost reference = ReferenceNnCosts(f, model, k);
+    EXPECT_EQ(Bits(fused.nodes), Bits(model.NnNodes(k))) << "k=" << k;
+    EXPECT_EQ(Bits(fused.distances), Bits(model.NnDistances(k)))
+        << "k=" << k;
+    EXPECT_EQ(Bits(fused.nodes), Bits(reference.nodes)) << "k=" << k;
+    EXPECT_EQ(Bits(fused.distances), Bits(reference.distances)) << "k=" << k;
+  }
+  // k > n: fewer than k objects exist, so P_{Q,k} has no mass.
+  EXPECT_EQ(model.NnCosts(2001).nodes, 0.0);
+  EXPECT_EQ(model.NnCosts(2001).distances, 0.0);
 }
 
 }  // namespace

@@ -11,12 +11,21 @@
 //  - Admission control under a tiny budget neither deadlocks nor changes
 //    batch results.
 //  - Persistence round-trips trees and sidecars.
+//  - Routing plans (and EXPLAIN rows) are bit-identical to the shard
+//    models evaluated directly, whether a k-NN plan's memoized per-k
+//    shard costs are cold, warm, or raced for by concurrent callers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mcm/dataset/vector_datasets.h"
@@ -77,6 +86,94 @@ void ExpectSameResults(const std::vector<SearchResult<Object>>& expected,
     EXPECT_DOUBLE_EQ(expected[i].distance, actual[i].distance)
         << "position " << i;
   }
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// The plan the router must produce, built from scratch: annulus bounds
+/// from the pivots, each shard's costs from its model evaluated on this
+/// call (k clamped to the shard size), cheapest-first order. `knn`
+/// selects NN(Q, k); otherwise range(Q, radius).
+shard::RoutePlan DirectPlan(const shard::ShardedMTree<VecTraits>& index,
+                            const FloatVector& query, bool knn, size_t k,
+                            double radius) {
+  shard::RoutePlan plan;
+  for (size_t s = 0; s < index.num_shards(); ++s) {
+    shard::ShardDecision d;
+    d.shard = s;
+    const size_t size = index.tree(s).size();
+    if (size == 0) {
+      d.dispatched = false;
+      d.reason = "skip:empty";
+      d.lower_bound = std::numeric_limits<double>::infinity();
+      plan.decisions.push_back(d);
+      continue;
+    }
+    const auto& sidecar = index.sidecar(s);
+    const double dp = L2Distance{}(query, sidecar.pivot);
+    d.lower_bound = std::max({dp - sidecar.rmax, sidecar.rmin - dp, 0.0});
+    if (sidecar.model.has_value()) {
+      const auto& model = *sidecar.model;
+      const size_t shard_k = std::min(k, size);
+      d.predicted_nodes =
+          knn ? model.NnNodes(shard_k) : model.RangeNodes(radius);
+      d.predicted_dists =
+          knn ? model.NnDistances(shard_k) : model.RangeDistances(radius);
+    }
+    if (!knn && d.lower_bound > radius) {
+      d.dispatched = false;
+      d.reason = "skip:annulus";
+    }
+    plan.decisions.push_back(d);
+  }
+  for (const auto& d : plan.decisions) {
+    if (d.dispatched) {
+      plan.order.push_back(d.shard);
+      plan.predicted_nodes += d.predicted_nodes;
+    } else {
+      ++plan.skipped;
+    }
+  }
+  std::sort(plan.order.begin(), plan.order.end(), [&](size_t a, size_t b) {
+    const auto& da = plan.decisions[a];
+    const auto& db = plan.decisions[b];
+    if (da.predicted_nodes != db.predicted_nodes) {
+      return da.predicted_nodes < db.predicted_nodes;
+    }
+    if (da.lower_bound != db.lower_bound) {
+      return da.lower_bound < db.lower_bound;
+    }
+    return a < b;
+  });
+  return plan;
+}
+
+void ExpectSamePlan(const shard::RoutePlan& want,
+                    const shard::RoutePlan& got) {
+  ASSERT_EQ(got.decisions.size(), want.decisions.size());
+  for (size_t s = 0; s < want.decisions.size(); ++s) {
+    const auto& w = want.decisions[s];
+    const auto& g = got.decisions[s];
+    EXPECT_EQ(g.shard, w.shard);
+    EXPECT_EQ(g.dispatched, w.dispatched) << "shard " << s;
+    EXPECT_EQ(std::string(g.reason), std::string(w.reason)) << "shard " << s;
+    EXPECT_EQ(Bits(g.lower_bound), Bits(w.lower_bound)) << "shard " << s;
+    EXPECT_EQ(Bits(g.predicted_nodes), Bits(w.predicted_nodes))
+        << "shard " << s;
+    EXPECT_EQ(Bits(g.predicted_dists), Bits(w.predicted_dists))
+        << "shard " << s;
+  }
+  EXPECT_EQ(got.order, want.order);
+  EXPECT_EQ(Bits(got.predicted_nodes), Bits(want.predicted_nodes));
+  EXPECT_EQ(got.skipped, want.skipped);
+}
+
+size_t SmallestShard(const shard::ShardedMTree<VecTraits>& index) {
+  size_t smallest = std::numeric_limits<size_t>::max();
+  for (size_t s = 0; s < index.num_shards(); ++s) {
+    smallest = std::min(smallest, index.tree(s).size());
+  }
+  return smallest;
 }
 
 TEST(ShardPlanner, CoversEveryObjectExactlyOnce) {
@@ -285,6 +382,103 @@ TEST(ShardRouter, ExplainReportAccountsForEveryShard) {
   const auto knn_report = router.ExplainKnn(queries[0], 5);
   EXPECT_EQ(knn_report.rows.size(), sharded.num_shards());
   EXPECT_EQ(knn_report.results, 5u);
+}
+
+// Plans are bit-identical to the shard models evaluated directly: k-NN
+// plans on the first (cold) and repeated (memoized) call of each k,
+// including a k above the smallest shard's size, and range plans. The
+// memo changes no counter: each plan charges one pivot distance per
+// non-empty shard.
+TEST(ShardRouter, PlansMatchDirectModelEvaluationBitForBit) {
+  const auto queries = Queries();
+  const auto sharded = BuildSharded(8, shard::Assignment::kClustered);
+  const Router router(sharded);
+  const size_t above_smallest = SmallestShard(sharded) + 3;
+  ASSERT_LT(above_smallest, kN);
+  for (size_t qi = 0; qi < 5; ++qi) {
+    const auto& q = queries[qi];
+    for (const size_t k : {size_t{1}, size_t{10}, above_smallest}) {
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        QueryStats stats;
+        const auto plan = router.PlanKnn(q, k, &stats);
+        ExpectSamePlan(DirectPlan(sharded, q, true, k, 0.0), plan);
+        EXPECT_EQ(stats.distance_computations, sharded.num_shards());
+      }
+    }
+    for (const double radius : {0.1, 0.3, 0.5}) {
+      ExpectSamePlan(DirectPlan(sharded, q, false, 0, radius),
+                     router.PlanRange(q, radius));
+    }
+  }
+}
+
+// More distinct k than the memo keeps (64): the k past the bound are
+// priced per call, uncached, and their plans stay exact.
+TEST(ShardRouter, KnnPlansStayExactPastTheMemoBound) {
+  const auto queries = Queries();
+  const auto sharded = BuildSharded(4, shard::Assignment::kClustered);
+  const Router router(sharded);
+  for (size_t k = 1; k <= 70; ++k) {
+    ExpectSamePlan(DirectPlan(sharded, queries[0], true, k, 0.0),
+                   router.PlanKnn(queries[0], k));
+  }
+  for (const size_t k : {size_t{70}, size_t{1}}) {
+    ExpectSamePlan(DirectPlan(sharded, queries[2], true, k, 0.0),
+                   router.PlanKnn(queries[2], k));
+  }
+}
+
+// Eight threads make the first call for the same new k at once: every
+// caller computes or reuses the per-shard costs, and all plans match.
+TEST(ShardRouter, ConcurrentFirstKnnPlansAgree) {
+  const auto queries = Queries();
+  const auto sharded = BuildSharded(8, shard::Assignment::kClustered);
+  const Router router(sharded);
+  constexpr size_t kThreads = 8;
+  constexpr size_t kK = 7;
+  std::vector<shard::RoutePlan> plans(kThreads);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      plans[t] = router.PlanKnn(queries[t], kK);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    ExpectSamePlan(DirectPlan(sharded, queries[t], true, kK, 0.0), plans[t]);
+  }
+}
+
+// EXPLAIN k-NN rows carry the direct model costs, cold and warm alike.
+TEST(ShardRouter, ExplainKnnRowsMatchDirectModelEvaluation) {
+  const auto queries = Queries();
+  const auto sharded = BuildSharded(8, shard::Assignment::kClustered);
+  const Router router(sharded);
+  for (const size_t k : {size_t{5}, SmallestShard(sharded) + 3}) {
+    const auto want = DirectPlan(sharded, queries[1], true, k, 0.0);
+    const auto cold = router.ExplainKnn(queries[1], k);
+    const auto warm = router.ExplainKnn(queries[1], k);
+    ASSERT_EQ(cold.rows.size(), sharded.num_shards());
+    ASSERT_EQ(warm.rows.size(), cold.rows.size());
+    EXPECT_EQ(Bits(warm.predicted_nodes), Bits(cold.predicted_nodes));
+    for (size_t i = 0; i < cold.rows.size(); ++i) {
+      const auto& row = cold.rows[i];
+      const auto& d = want.decisions[row.shard];
+      EXPECT_EQ(Bits(row.predicted_nodes), Bits(d.predicted_nodes));
+      EXPECT_EQ(Bits(row.predicted_dists), Bits(d.predicted_dists));
+      EXPECT_EQ(Bits(row.lower_bound), Bits(d.lower_bound));
+      const auto& again = warm.rows[i];
+      EXPECT_EQ(again.shard, row.shard);
+      EXPECT_EQ(again.reason, row.reason);
+      EXPECT_EQ(Bits(again.predicted_nodes), Bits(row.predicted_nodes));
+      EXPECT_EQ(Bits(again.predicted_dists), Bits(row.predicted_dists));
+      EXPECT_EQ(again.actual_nodes, row.actual_nodes);
+      EXPECT_EQ(again.actual_dists, row.actual_dists);
+    }
+  }
 }
 
 // Save + reopen: identical answers and identical routing decisions.

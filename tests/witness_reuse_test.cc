@@ -3,7 +3,9 @@
 // no witness footprint at all (the pre-witness behavior), the M-tree must
 // save a measurable fraction of metric evaluations on a string workload,
 // and the persisted ancestor distances must survive save/open — including
-// legacy version-1 files written before the cascade existed.
+// legacy version-1 files written before the cascade existed. Inserts that
+// split routing nodes after the cascade is installed must not leave stale
+// ancestor distances behind.
 
 #include <gtest/gtest.h>
 
@@ -248,6 +250,67 @@ TEST(WitnessReuse, TinyPagesFallBackSafelyWhenArraysWouldOverflow) {
   const auto words = Words();  // LinearScan keeps a reference
   const LinearScan<Traits> scan(words, EditDistanceMetric{});
   EXPECT_EQ(RunWorkload(reopened).answers, RunWorkload(scan).answers);
+}
+
+size_t InternalNodes(const MTree<Traits>& tree) {
+  size_t count = 0;
+  for (const auto& node : tree.CollectStats(1.0).nodes) {
+    if (!node.is_leaf) ++count;
+  }
+  return count;
+}
+
+TEST(WitnessReuse, InternalSplitAfterInstallKeepsAnswersExact) {
+  // An internal split moves routing entries under newly promoted routing
+  // objects, while every entry below them still stores its distance to
+  // the old routing object; trusting those would prune subtrees that hold
+  // answers. Bulk-load a quarter of the words, install the cascade, and
+  // insert the rest: routing nodes split but the root does not (a root
+  // split clears the cascade by itself).
+  constexpr size_t kWords = 4000;
+  const auto words = GenerateKeywords(kWords, kSeed);
+  const std::vector<std::string> first(words.begin(),
+                                       words.begin() + kWords / 4);
+  const auto build = [&](int capacity, size_t* internal_before,
+                         uint32_t* height_before) {
+    MTreeOptions options;
+    options.node_size_bytes = 1024;
+    options.witness_capacity = capacity;
+    auto tree = MTree<Traits>::BulkLoad(first, EditDistanceMetric{}, options);
+    tree.InstallWitnessCascade();
+    *internal_before = InternalNodes(tree);
+    *height_before = tree.height();
+    for (size_t i = first.size(); i < kWords; ++i) tree.Insert(words[i], i);
+    return tree;
+  };
+  size_t internal_before = 0;
+  uint32_t height_before = 0;
+  const auto tree = build(8, &internal_before, &height_before);
+  ASSERT_EQ(tree.height(), height_before);
+  ASSERT_GT(InternalNodes(tree), internal_before);
+  EXPECT_FALSE(tree.cascade_installed());
+  EXPECT_TRUE(check::CheckMTree(tree).ok());
+
+  const auto off = build(0, &internal_before, &height_before);
+  EXPECT_EQ(RunWorkload(tree).answers, RunWorkload(off).answers);
+  const LinearScan<Traits> scan(words, EditDistanceMetric{});
+  for (const auto& q : GenerateKeywordQueries(100, kSeed + 1)) {
+    for (const double radius : kRadii) {
+      const auto want = scan.RangeSearch(q, radius);
+      const auto got = tree.RangeSearch(q, radius);
+      ASSERT_EQ(got.size(), want.size()) << q << " r=" << radius;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].oid, want[i].oid) << q << " r=" << radius;
+      }
+    }
+    const auto want = scan.KnnSearch(q, 10);
+    const auto got = tree.KnnSearch(q, 10);
+    ASSERT_EQ(got.size(), want.size()) << q;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].oid, want[i].oid) << q << " rank " << i;
+      EXPECT_EQ(got[i].distance, want[i].distance) << q << " rank " << i;
+    }
+  }
 }
 
 }  // namespace
