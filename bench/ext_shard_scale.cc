@@ -2,25 +2,29 @@
 // Clustered vector workload (L2, the paper's biased query model), split
 // into 1 / 4 / 16 shards. For each shard count the same range and k-NN
 // workloads run twice — naive scatter (every shard dispatched, shard
-// order) and cost routing (provable annulus skips + cheapest-first
-// dispatch with k-NN bound propagation) — and the QPS grid answers the
-// range workload through a BatchExecutor at 1/2/4/8 threads with
-// per-query latency percentiles in the summary records. One admission
+// order) and cost routing (provable annulus / Voronoi skips +
+// nearest-first dispatch with k-NN bound propagation) — and the QPS grid
+// answers the range workload through a BatchExecutor at 1/2/4/8 threads
+// with per-query latency percentiles in the summary records. One admission
 // case runs the 8-thread grid point under a deliberately small
 // predicted-node budget to show queueing instead of buffer-pool thrash.
 //
-// The emitted BENCH_shard_scale.json backs two CTest gates:
+// The emitted BENCH_shard_scale.json backs three CTest gates:
 //   bench_json_schema_shard   — schema (incl. latency_us percentiles);
 //   bench_compare_shard       — routed_s<max> must read <= 0.85x the
-//                               nodes of naive_s<max>.
+//                               nodes of naive_s<max>;
+//   bench_compare_shard_knn   — knn_routed_s<max> must read <= 0.75x
+//                               the nodes of knn_naive_s<max>.
 //
 // Scale knobs: MCM_N (default 20000), MCM_QUERIES (default 100),
 //              MCM_SHARDS (default "1,4,16"), MCM_SHARD_ASSIGN,
 //              MCM_SHARD_INFLIGHT (admission budget for the qps cases).
 
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mcm/bench_util/experiment.h"
@@ -72,6 +76,9 @@ int main() {
   const std::vector<size_t> shard_counts =
       ParseShardCounts(GetEnvString("MCM_SHARDS", "1,4,16"));
   const std::vector<size_t> thread_counts = {1, 2, 4, 8};
+  // Recorded in every case: the QPS grid's wall-clock numbers depend on it.
+  const double host_cores =
+      static_cast<double>(std::max(1u, std::thread::hardware_concurrency()));
 
   const auto objects =
       GenerateVectorDataset(VectorDatasetKind::kClustered, n, dim, kSeed);
@@ -92,7 +99,7 @@ int main() {
   std::cout << "== Sharded scatter-gather: clustered L2, n=" << n << ", "
             << num_queries << " queries, radius "
             << TablePrinter::Num(radius, 3) << " (≈10 results), k=" << k
-            << " ==\n\n";
+            << ", " << host_cores << " core(s) ==\n\n";
 
   BenchObserver observer("shard_scale");
   Stopwatch watch;
@@ -119,7 +126,8 @@ int main() {
     const std::vector<std::pair<std::string, double>> params = {
         {"n", static_cast<double>(n)},
         {"shards", static_cast<double>(num_shards)},
-        {"radius", radius}};
+        {"radius", radius},
+        {"host_cores", host_cores}};
     const std::string suffix = "_s" + std::to_string(num_shards);
 
     const auto naive_range =
@@ -186,6 +194,7 @@ int main() {
         {{"n", static_cast<double>(n)},
          {"shards", static_cast<double>(num_shards)},
          {"radius", radius},
+         {"host_cores", host_cores},
          {"budget", throttle.inflight_budget}});
     std::cout << "admission (s=" << num_shards << ", t=8, budget "
               << throttle.inflight_budget << " nodes): "
@@ -199,8 +208,8 @@ int main() {
   qps_table.Print(std::cout);
   std::cout << "\nExpected shape: identical result counts for naive vs "
                "routed; routed node reads drop\nsteeply as shards grow "
-               "(annulus skips on the clustered workload); QPS scales "
-               "with\nthreads. Latency percentiles land in the summary "
+               "(annulus / Voronoi skips on the clustered workload); QPS "
+               "scales with\nthreads. Latency percentiles land in the summary "
                "records (p50/p95/p99).\nElapsed: "
             << TablePrinter::Num(watch.ElapsedSeconds(), 1) << " s\n";
   return 0;

@@ -21,12 +21,14 @@ std::string RenderShardExplainText(const ShardExplainReport& report) {
   out << "): " << report.dispatched << "/" << report.num_shards
       << " shards dispatched, " << report.skipped << " skipped, "
       << report.results << " results\n";
-  TablePrinter table({"shard", "objects", "decision", "lower_bound",
+  TablePrinter table({"shard", "objects", "decision", "pivot dist",
+                      "lower_bound",
                       "pred nodes", "act nodes", "pred dists", "act dists",
                       "results", "radius sent"});
   for (const ShardExplainRow& row : report.rows) {
     table.AddRow({std::to_string(row.shard), std::to_string(row.objects),
-                  row.reason, TablePrinter::Num(row.lower_bound, 4),
+                  row.reason, TablePrinter::Num(row.pivot_distance, 4),
+                  TablePrinter::Num(row.lower_bound, 4),
                   TablePrinter::Num(row.predicted_nodes, 1),
                   std::to_string(row.actual_nodes),
                   TablePrinter::Num(row.predicted_dists, 1),
@@ -35,7 +37,7 @@ std::string RenderShardExplainText(const ShardExplainReport& report) {
                   row.dispatched ? TablePrinter::Num(row.radius_sent, 4)
                                  : "-"});
   }
-  table.AddRow({"total", "", "", "",
+  table.AddRow({"total", "", "", "", "",
                 TablePrinter::Num(report.predicted_nodes, 1),
                 std::to_string(report.actual_nodes), "",
                 std::to_string(report.actual_dists),
@@ -53,6 +55,7 @@ std::string RenderShardExplainJson(const ShardExplainReport& report) {
     obj.Add("objects", static_cast<unsigned long long>(row.objects));
     obj.Add("dispatched", row.dispatched);
     obj.Add("reason", row.reason);
+    obj.Add("pivot_distance", row.pivot_distance);
     obj.Add("lower_bound", row.lower_bound);
     obj.Add("predicted_nodes", row.predicted_nodes);
     obj.Add("predicted_dists", row.predicted_dists);

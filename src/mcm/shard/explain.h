@@ -1,7 +1,8 @@
 // Per-shard predicted-vs-actual EXPLAIN report: one row per shard with
-// the routing decision (dispatched / skipped, the proven lower bound),
-// the N-MCM predictions the router ordered by, and the measured node /
-// distance counters the shard search actually spent. Rendered as a text
+// the routing decision (dispatched / skipped and which proof skipped it,
+// the pivot distance and proven lower bound the router ordered by), the
+// plan's N-MCM predictions, and the measured node / distance counters the
+// shard search actually spent. Rendered as a text
 // table for the CLI and as a JSON object mcm_explain embeds under the
 // "shards" key.
 
@@ -21,7 +22,11 @@ struct ShardExplainRow {
   size_t shard = 0;
   size_t objects = 0;           ///< Objects stored in the shard.
   bool dispatched = false;
-  std::string reason;           ///< "dispatched", "skip:annulus", ...
+  /// "dispatched", "skip:empty", "skip:annulus" / "skip:voronoi" (range:
+  /// the proof that fired), "skip:bound" / "skip:voronoi" (k-NN: the
+  /// running k-th distance beat the annulus / Voronoi bound).
+  std::string reason;
+  double pivot_distance = 0.0;  ///< d(query, shard pivot); 0 = not computed.
   double lower_bound = 0.0;     ///< Proven min distance query -> shard.
   double predicted_nodes = 0.0;
   double predicted_dists = 0.0;

@@ -3,9 +3,10 @@
 // pivot assignment (reservoir-sampled seeds, nearest-seed placement — the
 // same seed-sampling idiom StreamBulkLoader uses for its partition pass).
 // Clustered shards are metrically compact, which is what lets the router's
-// per-shard distance distributions prove range queries empty (partition.h
-// only produces memberships; the proof machinery lives in sharded_index.h
-// and router.h).
+// per-shard annuli prove range queries empty, and every member is no
+// farther from its own seed than from any other, which gives the router
+// its Voronoi bound (partition.h only produces memberships; the proof
+// machinery lives in sharded_index.h and router.h).
 //
 // Everything here is deterministic: seeds come from common/random.h
 // streams, ties in the nearest-seed test resolve toward the lower shard

@@ -1,20 +1,32 @@
 // Cost-model-aware scatter-gather router over a ShardedMTree. For every
-// query the router prices each shard with that shard's own N-MCM model
-// (Section 4's node-based cost equations applied to the shard's F̂_s and
-// node statistics), then:
+// query the router computes each shard's pivot distance dp = d(Q, pivot_s),
+// prices the shards with their own N-MCM models (Section 4's node-based
+// cost equations applied to the shard's F̂_s and node statistics), then:
 //
-//  - skips shards proven empty: with dp = d(Q, pivot_s) and the exact
-//    annulus [rmin, rmax] of the shard, every member O satisfies
-//    d(Q, O) >= max(dp - rmax, rmin - dp, 0); a range query whose radius
-//    falls strictly below that bound is never dispatched (and for k-NN
-//    the same bound is checked against the running k-th distance);
-//  - orders the surviving shards cheapest-first by predicted node reads,
-//    so a k-NN scatter establishes a tight k-th distance early and sends
-//    only range(Q, r_k) — the witness-style bound propagation — to every
-//    later shard;
-//  - prices k-NN plans from a per-k memo: a shard's N-MCM k-NN cost does
-//    not depend on the query (Assumption 1), so only the pivot distances
-//    and annulus bounds are computed per query;
+//  - skips shards proven empty. Every member O of shard s satisfies
+//      d(Q, O) >= max(dp_s - rmax, rmin - dp_s, 0)          (annulus)
+//    over the shard's exact annulus [rmin, rmax]. A clustered shard holds
+//    only objects no farther from its pivot (its seed) than from any other
+//    seed, so d(O, p_s) <= d(O, p_j) and the triangle inequality gives the
+//    generalised-hyperplane bound of GNAT / GH-trees
+//      d(Q, O) >= (dp_s - min_j dp_j) / 2                   (Voronoi)
+//    which the router maxes with the annulus bound (hash shards keep the
+//    annulus bound alone). A range shard whose bound exceeds the radius is
+//    never dispatched, a k-NN shard whose bound exceeds the running k-th
+//    distance is never searched, and the skip reason names the proof;
+//  - orders the dispatched shards nearest-first by (lower bound, pivot
+//    distance, shard id) — best-first search over shards. A k-NN scatter
+//    runs its home shard first, which yields a tight k-th distance r_k;
+//    every later shard is then either proven useless or searched with
+//    range(Q, r_k) only. Predicted cost cannot order shards: under
+//    Assumption 1 it does not depend on the query, so it would only ever
+//    be one fixed shard order;
+//  - prices plans from a memo keyed by query kind and parameter (k, or the
+//    radius's bit pattern): a shard's N-MCM cost does not depend on the
+//    query, so only pivot distances and bounds are computed per query. A
+//    k-NN plan is priced as the plan that runs: the home shard's NN(Q, k)
+//    plus range(Q, r̂) on each later shard whose bound is <= r̂, with r̂
+//    the home shard's expected k-th NN distance (Eq. 11);
 //  - merges through the engine collectors (distance-then-oid order), so
 //    the answer list is bit-identical to the unsharded index at any
 //    shard count; with one shard the query passes straight through and
@@ -31,12 +43,15 @@
 #define MCM_SHARD_ROUTER_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -64,7 +79,7 @@ inline double InflightBudgetFromEnv() {
 /// Router configuration.
 struct RouterOptions {
   /// Cost-model routing: skip provably empty shards and dispatch the rest
-  /// cheapest-first. Off = naive scatter (every non-empty shard, in shard
+  /// nearest-first. Off = naive scatter (every non-empty shard, in shard
   /// order, no pivot distances) — the bench baseline.
   bool cost_routing = true;
   /// Predicted-node admission budget; < 0 resolves MCM_SHARD_INFLIGHT,
@@ -79,14 +94,18 @@ struct ShardDecision {
   size_t shard = 0;
   bool dispatched = true;
   const char* reason = "dispatched";
-  /// Proven lower bound on d(Q, member) over the shard (annulus bound).
+  /// d(Q, pivot_s); 0 when none was computed (naive scatter, empty shard).
+  double pivot_distance = 0.0;
+  /// Proven lower bound on d(Q, member) over the shard: the annulus bound,
+  /// maxed with the Voronoi bound for clustered shards.
   double lower_bound = 0.0;
+  /// The plan's N-MCM price of this shard (see PlanRange / PlanKnn).
   double predicted_nodes = 0.0;
   double predicted_dists = 0.0;
 };
 
 /// The routing plan for one query: per-shard decisions (by shard id) and
-/// the dispatch order (cheapest predicted cost first).
+/// the dispatch order (nearest first).
 struct RoutePlan {
   std::vector<ShardDecision> decisions;
   std::vector<size_t> order;  ///< Dispatched shard ids, execution order.
@@ -96,7 +115,7 @@ struct RoutePlan {
 
 /// Scatter-gather search over a ShardedMTree. Concurrently callable;
 /// satisfies engine::MetricIndex. Its only mutable state is the admission
-/// controller and the per-k memo of k-NN shard costs, which changes no
+/// controller and the memo of per-shard plan prices, which changes no
 /// plan.
 template <typename Traits>
 class ShardRouter {
@@ -138,45 +157,56 @@ class ShardRouter {
   /// Queries the admission controller made wait at least once.
   uint64_t queued_queries() const { return admission_.queued_queries(); }
 
-  /// The routing plan for range(Q, r). Pivot distances are genuine metric
-  /// evaluations and are charged to `stats` (the same convention the
-  /// trees use for their routing distances).
+  /// The routing plan for range(Q, r): every non-empty shard priced at
+  /// RangeCosts(r) (memoized per radius), shards whose bound exceeds r
+  /// skipped. Pivot distances are genuine metric evaluations and are
+  /// charged to `stats` (the same convention the trees use for their
+  /// routing distances).
   RoutePlan PlanRange(const Object& query, double radius,
                       QueryStats* stats = nullptr) const {
     RoutePlan plan = MakeDecisions(query, stats);
+    const std::shared_ptr<const ShardPrices> prices =
+        Prices(PlanKind::kRange, std::bit_cast<uint64_t>(radius));
     for (ShardDecision& d : plan.decisions) {
       if (!d.dispatched) continue;  // Empty shard.
-      const ShardSidecar<Traits>& sidecar = index_.sidecar(d.shard);
-      if (sidecar.model.has_value()) {
-        const PredictedCost cost = sidecar.model->RangeCosts(radius);
-        d.predicted_nodes = cost.nodes;
-        d.predicted_dists = cost.distances;
-      }
+      d.predicted_nodes = (*prices)[d.shard].cost.nodes;
+      d.predicted_dists = (*prices)[d.shard].cost.distances;
       if (options_.cost_routing && d.lower_bound > radius) {
         d.dispatched = false;
-        d.reason = "skip:annulus";
+        d.reason = SkipReason(d, radius, "skip:annulus");
+        continue;
       }
+      plan.predicted_nodes += d.predicted_nodes;
     }
-    FinishPlan(&plan);
+    OrderPlan(&plan);
     return plan;
   }
 
-  /// The routing plan for NN(Q, k). No shard can be skipped up front
-  /// (the k-th distance is unknown), but the cheapest-first order decides
-  /// how fast the bound tightens; the execution-time annulus check
-  /// against the running bound does the skipping. The per-shard costs
-  /// come from the per-k memo (KnnCosts), so only the pivot distances
-  /// are computed per query.
+  /// The routing plan for NN(Q, k). No shard can be skipped up front (r_k
+  /// is unknown); the execution-time bound check does the skipping. The
+  /// plan is priced as it will run: the home shard (first in order) at
+  /// NnCosts(k), each later shard whose bound is <= r̂ — the home shard's
+  /// expected k-th NN distance — at RangeCosts(r̂), the rest at zero (they
+  /// are expected to be skipped). k is clamped to each shard's size; both
+  /// price vectors come from the memo.
   RoutePlan PlanKnn(const Object& query, size_t k,
                     QueryStats* stats = nullptr) const {
     RoutePlan plan = MakeDecisions(query, stats);
-    const std::shared_ptr<const ShardCosts> costs = KnnCosts(k);
-    for (ShardDecision& d : plan.decisions) {
-      if (!d.dispatched) continue;  // Empty shard.
-      d.predicted_nodes = (*costs)[d.shard].nodes;
-      d.predicted_dists = (*costs)[d.shard].distances;
+    OrderPlan(&plan);
+    if (plan.order.empty()) return plan;
+    const std::shared_ptr<const ShardPrices> nn = Prices(PlanKind::kKnn, k);
+    const ShardPrice& home = (*nn)[plan.order.front()];
+    const std::shared_ptr<const ShardPrices> range =
+        Prices(PlanKind::kRange, std::bit_cast<uint64_t>(home.nn_distance));
+    for (const size_t s : plan.order) {
+      ShardDecision& d = plan.decisions[s];
+      const bool is_home = s == plan.order.front();
+      if (!is_home && d.lower_bound > home.nn_distance) continue;
+      const PredictedCost& cost = is_home ? home.cost : (*range)[s].cost;
+      d.predicted_nodes = cost.nodes;
+      d.predicted_dists = cost.distances;
+      plan.predicted_nodes += cost.nodes;
     }
-    FinishPlan(&plan);
     return plan;
   }
 
@@ -204,45 +234,68 @@ class ShardRouter {
   }
 
  private:
-  /// Predicted cost per shard, indexed by shard id.
-  using ShardCosts = std::vector<PredictedCost>;
+  /// What a memoized price vector is for: range(Q, r), keyed by the bit
+  /// pattern of r, or NN(Q, k), keyed by k.
+  enum class PlanKind : uint8_t { kRange, kKnn };
 
-  /// Distinct k values whose ShardCosts the router keeps. A workload uses
-  /// a handful; past the bound a new k is priced on every query, uncached.
-  static constexpr size_t kMaxCachedK = 64;
+  /// One shard's N-MCM price for one plan parameter; for k-NN also the
+  /// shard's expected k-th NN distance. Zero for an empty or model-less
+  /// shard.
+  struct ShardPrice {
+    PredictedCost cost;
+    double nn_distance = 0.0;
+  };
+  using ShardPrices = std::vector<ShardPrice>;  ///< Indexed by shard id.
 
-  /// Each shard's N-MCM cost of NN(Q, k), with k clamped to the shard
-  /// size (zero for an empty or model-less shard). Under Assumption 1 it
-  /// does not depend on Q, so it is computed on the first query with this
-  /// k — outside the lock, no model code runs under it — and the first
-  /// writer's entry is kept and shared.
-  std::shared_ptr<const ShardCosts> KnnCosts(size_t k) const
-      MCM_EXCLUDES(knn_costs_mu_) {
+  /// Distinct (kind, parameter) keys whose prices the router keeps. A
+  /// workload uses a handful (a k-NN plan adds one radius key per home
+  /// shard); past the bound a new key is priced on every query, uncached.
+  static constexpr size_t kMaxCachedPrices = 64;
+
+  /// Every shard's price for `kind` at `param`: RangeCosts(r) for range,
+  /// NnCosts(k) and ExpectedNnDistance(k) for k-NN with k clamped to the
+  /// shard size. Under Assumption 1 none of it depends on Q, so it is
+  /// computed on the first query with this key — outside the lock, no
+  /// model code runs under it — and the first writer's entry is kept and
+  /// shared.
+  std::shared_ptr<const ShardPrices> Prices(PlanKind kind,
+                                            uint64_t param) const
+      MCM_EXCLUDES(prices_mu_) {
+    const std::pair<PlanKind, uint64_t> key(kind, param);
     {
-      MutexLock lock(&knn_costs_mu_);
-      const auto it = knn_costs_.find(k);
-      if (it != knn_costs_.end()) return it->second;
+      MutexLock lock(&prices_mu_);
+      const auto it = prices_.find(key);
+      if (it != prices_.end()) return it->second;
     }
-    auto costs = std::make_shared<ShardCosts>(index_.num_shards());
-    for (size_t s = 0; s < costs->size(); ++s) {
-      const ShardSidecar<Traits>& sidecar = index_.sidecar(s);
-      const size_t shard_k = std::min(k, index_.tree(s).size());
-      if (sidecar.model.has_value() && shard_k > 0) {
-        (*costs)[s] = sidecar.model->NnCosts(shard_k);
+    auto prices = std::make_shared<ShardPrices>(index_.num_shards());
+    for (size_t s = 0; s < prices->size(); ++s) {
+      const std::optional<NodeBasedCostModel>& model =
+          index_.sidecar(s).model;
+      if (!model.has_value()) continue;
+      ShardPrice& price = (*prices)[s];
+      if (kind == PlanKind::kRange) {
+        price.cost = model->RangeCosts(std::bit_cast<double>(param));
+        continue;
       }
+      const size_t shard_k = static_cast<size_t>(
+          std::min<uint64_t>(param, index_.tree(s).size()));
+      if (shard_k == 0) continue;
+      price.cost = model->NnCosts(shard_k);
+      price.nn_distance = model->nn_model().ExpectedNnDistance(shard_k);
     }
-    MutexLock lock(&knn_costs_mu_);
-    if (knn_costs_.size() >= kMaxCachedK) return costs;
-    return knn_costs_.emplace(k, std::move(costs)).first->second;
+    MutexLock lock(&prices_mu_);
+    if (prices_.size() >= kMaxCachedPrices) return prices;
+    return prices_.emplace(key, std::move(prices)).first->second;
   }
 
   /// Shared first phase of both plans: per-shard pivot distance (charged
-  /// to `stats`) and the annulus lower bound. Empty shards come back
-  /// undispatched; with cost routing off no pivot distance is spent and
-  /// every non-empty shard is dispatched with bound 0.
+  /// to `stats`) and lower bound. Empty shards come back undispatched;
+  /// with cost routing off no pivot distance is spent and every non-empty
+  /// shard is dispatched with bound 0.
   RoutePlan MakeDecisions(const Object& query, QueryStats* stats) const {
     RoutePlan plan;
     plan.decisions.resize(index_.num_shards());
+    double nearest = std::numeric_limits<double>::infinity();
     for (size_t s = 0; s < index_.num_shards(); ++s) {
       ShardDecision& d = plan.decisions[s];
       d.shard = s;
@@ -253,41 +306,57 @@ class ShardRouter {
         continue;
       }
       if (!options_.cost_routing) continue;  // Naive scatter: bound 0.
-      const ShardSidecar<Traits>& sidecar = index_.sidecar(s);
-      const double dp = index_.metric()(query, sidecar.pivot);
+      d.pivot_distance = index_.metric()(query, index_.sidecar(s).pivot);
       if (stats != nullptr) ++stats->distance_computations;
-      d.lower_bound = std::max(
-          {dp - sidecar.rmax, sidecar.rmin - dp, 0.0});
+      d.lower_bound = AnnulusBound(d);
+      nearest = std::min(nearest, d.pivot_distance);
+    }
+    if (options_.cost_routing &&
+        index_.assignment() == Assignment::kClustered) {
+      // Voronoi bound: each member O sits with its nearest seed, so for
+      // every seed p_j, d(Q, p_s) <= d(Q, O) + d(O, p_s)
+      //                          <= d(Q, O) + d(O, p_j) <= 2 d(Q, O) + dp_j.
+      for (ShardDecision& d : plan.decisions) {
+        if (!d.dispatched) continue;
+        d.lower_bound =
+            std::max(d.lower_bound, (d.pivot_distance - nearest) / 2.0);
+      }
     }
     return plan;
   }
 
-  /// Orders dispatched shards cheapest-first (predicted nodes, then the
-  /// annulus bound, then shard id — fully deterministic) and fills the
-  /// plan totals. Naive scatter keeps plain shard order.
-  void FinishPlan(RoutePlan* plan) const {
+  /// The annulus bound of `d`'s shard alone.
+  double AnnulusBound(const ShardDecision& d) const {
+    const ShardSidecar<Traits>& sidecar = index_.sidecar(d.shard);
+    return std::max({d.pivot_distance - sidecar.rmax,
+                     sidecar.rmin - d.pivot_distance, 0.0});
+  }
+
+  /// The proof behind skipping `d` at radius `r` (d.lower_bound > r):
+  /// `annulus_reason` when the annulus bound alone exceeds r, otherwise
+  /// the Voronoi bound did it.
+  const char* SkipReason(const ShardDecision& d, double r,
+                         const char* annulus_reason) const {
+    return AnnulusBound(d) > r ? annulus_reason : "skip:voronoi";
+  }
+
+  /// Lists the dispatched shards nearest-first — by (lower bound, pivot
+  /// distance, shard id); naive plans have zero keys and keep shard
+  /// order — and counts the skipped ones.
+  static void OrderPlan(RoutePlan* plan) {
     for (const ShardDecision& d : plan->decisions) {
       if (d.dispatched) {
         plan->order.push_back(d.shard);
-        plan->predicted_nodes += d.predicted_nodes;
       } else {
         ++plan->skipped;
       }
     }
-    if (options_.cost_routing) {
-      std::sort(plan->order.begin(), plan->order.end(),
-                [plan](size_t a, size_t b) {
-                  const ShardDecision& da = plan->decisions[a];
-                  const ShardDecision& db = plan->decisions[b];
-                  if (da.predicted_nodes != db.predicted_nodes) {
-                    return da.predicted_nodes < db.predicted_nodes;
-                  }
-                  if (da.lower_bound != db.lower_bound) {
-                    return da.lower_bound < db.lower_bound;
-                  }
-                  return a < b;
-                });
-    }
+    const std::vector<ShardDecision>& ds = plan->decisions;
+    std::sort(plan->order.begin(), plan->order.end(),
+              [&ds](size_t a, size_t b) {
+                return std::tie(ds[a].lower_bound, ds[a].pivot_distance, a) <
+                       std::tie(ds[b].lower_bound, ds[b].pivot_distance, b);
+              });
   }
 
   /// Runs one shard search, folds its counters into `stats` (preserving
@@ -328,6 +397,7 @@ class ShardRouter {
     row.objects = index_.tree(d.shard).size();
     row.dispatched = d.dispatched;
     row.reason = d.reason;
+    row.pivot_distance = d.pivot_distance;
     row.lower_bound = d.lower_bound;
     row.predicted_nodes = d.predicted_nodes;
     row.predicted_dists = d.predicted_dists;
@@ -409,12 +479,13 @@ class ShardRouter {
     for (const size_t s : plan.order) {
       const double bound = collector.Bound();
       ShardDecision& d = plan.decisions[s];
-      if (bound != std::numeric_limits<double>::infinity() &&
-          d.lower_bound > bound) {
+      if (d.lower_bound > bound) {
         // The running k-th distance now proves this shard useless; the
-        // plan's decision is amended so reports and counters agree.
+        // plan's decision is amended so reports and counters agree. Bounds
+        // ascend along the order and r_k only shrinks, so every later
+        // shard is skipped too.
         d.dispatched = false;
-        d.reason = "skip:bound";
+        d.reason = SkipReason(d, bound, "skip:bound");
         continue;
       }
       ShardExplainRow* row = nullptr;
@@ -454,9 +525,10 @@ class ShardRouter {
   Counter& dispatched_counter_;
   Counter& skipped_counter_;
   Counter& nodes_counter_;
-  mutable Mutex knn_costs_mu_;
-  mutable std::map<size_t, std::shared_ptr<const ShardCosts>> knn_costs_
-      MCM_GUARDED_BY(knn_costs_mu_);
+  mutable Mutex prices_mu_;
+  mutable std::map<std::pair<PlanKind, uint64_t>,
+                   std::shared_ptr<const ShardPrices>>
+      prices_ MCM_GUARDED_BY(prices_mu_);
 };
 
 }  // namespace shard

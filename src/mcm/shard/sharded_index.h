@@ -7,7 +7,9 @@
 // and shard member O the triangle inequality gives
 //   d(Q, O) >= max(d(Q, pivot) - rmax, rmin - d(Q, pivot), 0),
 // so a range query whose radius falls below that bound cannot match
-// anything in the shard (router.h turns this into skip decisions).
+// anything in the shard (router.h turns this into skip decisions, and
+// adds the Voronoi bound for clustered shards, whose pivot is the seed
+// every member is nearest to).
 //
 // Build is deterministic (partition.h plans memberships, each shard is
 // bulk-loaded with its members in source order carrying their original
@@ -60,8 +62,8 @@ struct ShardedOptions {
 
 /// Per-shard routing state: the skip proof (pivot + exact annulus) and
 /// the cost models (histogram + node stats). Shards with fewer than two
-/// members carry no histogram and no model; the router falls back to the
-/// shard's node count as its predicted cost.
+/// members carry no histogram and no model; the router prices them at
+/// zero.
 template <typename Traits>
 struct ShardSidecar {
   typename Traits::Object pivot{};

@@ -393,9 +393,53 @@ int SelfTest(const std::string& dir) {
       shard_json->Find("shards") == nullptr) {
     return Fail("shard JSON embedding does not parse");
   }
+  const mcm::JsonValue* json_rows = shard_json->Find("shards")->Find("rows");
+  if (json_rows == nullptr || !json_rows->is_array() ||
+      json_rows->array_value.size() != 4) {
+    return Fail("shard JSON rows");
+  }
+  for (const mcm::JsonValue& row : json_rows->array_value) {
+    const mcm::JsonValue* pivot = row.Find("pivot_distance");
+    if (pivot == nullptr || !pivot->is_number()) {
+      return Fail("shard JSON row without pivot_distance");
+    }
+  }
+
+  // The same query as a 5-NN scatter: the home shard runs a full k-NN
+  // (radius sent < 0), every later dispatched shard gets range(Q, r_k),
+  // and each skip names its proof.
+  const auto shard_knn = ExplainSharded<Traits>(
+      objects, tree.metric(), /*num_shards=*/4, meta.node_size, d_plus,
+      objects[0], /*radius=*/-1.0, /*k=*/5);
+  if (shard_knn.kind != "knn" || shard_knn.rows.size() != 4) {
+    return Fail("shard knn report");
+  }
+  if (shard_knn.results != 5) return Fail("shard knn result count");
+  for (const auto* report : {&shard_report, &shard_knn}) {
+    // Rows list the dispatched shards in execution order, nearest-first.
+    double previous_bound = 0.0;
+    bool first = true;
+    for (const auto& row : report->rows) {
+      if (!row.dispatched) {
+        if (row.reason != "skip:empty" && row.reason != "skip:annulus" &&
+            row.reason != "skip:bound" && row.reason != "skip:voronoi") {
+          return Fail("unknown shard skip reason");
+        }
+        continue;
+      }
+      if (row.lower_bound < previous_bound) {
+        return Fail("shards not dispatched nearest-first");
+      }
+      previous_bound = row.lower_bound;
+      if (report == &shard_knn && (row.radius_sent < 0.0) != first) {
+        return Fail("k-NN scatter did not start with one full k-NN");
+      }
+      first = false;
+    }
+  }
 
   std::printf(
-      "selftest: ok (range + knn + 4-shard scatter explained, "
+      "selftest: ok (range + knn + 4-shard range/knn scatter explained, "
       "reports consistent)\n");
   std::fputs(mcm::RenderExplainText(knn_report).c_str(), stdout);
   return 0;
